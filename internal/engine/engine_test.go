@@ -24,6 +24,17 @@ var testNatives = isolate.NativeTable{
 			time.Sleep(time.Hour)
 		}
 	},
+	"iso_odd": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+		return types.NewBool(args[0].Int%2 != 0), nil
+	},
+	// iso_check passes its argument through and fails on 13: a per-row
+	// UDF error in the middle of a batch.
+	"iso_check": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+		if args[0].Int == 13 {
+			return types.Value{}, fmt.Errorf("iso_check: refused %d", args[0].Int)
+		}
+		return args[0], nil
+	},
 	// iso_slow takes a fixed per-row time: used to drive a statement
 	// deadline into the gaps between batched invocations.
 	"iso_slow": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"predator/internal/core"
@@ -11,17 +12,21 @@ import (
 )
 
 // This file implements the batched, pipelined evaluation loop shared by
-// Filter and Project. When an operator's expression is batchable (an
-// expr.BatchBound over a core.BatchUDF) and the query context allows
+// Filter and Project. When an operator's expression contains, at any
+// depth, a batchable UDF call (expr.HasBatchable: a process-isolated
+// design implementing core.BatchUDF) and the query context allows
 // batching (ec.UDFBatch > 1), the operator gathers windows of input
-// rows and evaluates each window with amortized UDF crossings, instead
-// of one crossing per tuple.
+// rows and evaluates each window with an expr.Window — one amortized
+// crossing per UDF call per window instead of one per tuple.
 //
 // The loop is double-buffered: while the background goroutine evaluates
 // window k (which, for isolated designs, mostly blocks on the executor
 // process), the operator's own goroutine gathers window k+1 from its
 // input. At most one window is ever in flight, so expression scratch
-// state is never touched concurrently.
+// state is never touched concurrently. A window gathered once the input
+// is exhausted, with nothing in flight, has nothing to overlap with and
+// is evaluated on the operator's own goroutine: a one-row point read
+// pays no goroutine or channel hand-off.
 //
 // Window sizes adapt: they start small (so short queries never pay for
 // a large batch), double up to the configured cap, shrink to fit an
@@ -43,7 +48,11 @@ type window struct {
 	res  []core.BatchResult
 	out  []types.Row
 	base int64 // absolute input index of rows[0], for error reporting
-	err  error
+	err  error // the whole window failed (a boundary fault)
+	// rowErr is the first row's failure. rows is cut to the rows before
+	// it: the consumer gets those, then rowErr — exactly what the scalar
+	// path emits before it reports that row's error.
+	rowErr error
 	// panicked carries a panic out of the evaluation goroutine so it can
 	// be re-raised on the operator's own goroutine, where the caller's
 	// recovery (e.g. the server's per-request recover) sees it exactly
@@ -51,6 +60,12 @@ type window struct {
 	panicked any
 	start    time.Time
 	dur      time.Duration
+}
+
+// failAt records that row i failed with err.
+func (w *window) failAt(i int, err error) {
+	w.rows = w.rows[:i]
+	w.rowErr = err
 }
 
 // batchState drives gathering, pipelined evaluation and result
@@ -66,8 +81,8 @@ type batchState struct {
 	stashed    error // gather-side error, surfaced after in-flight work drains
 	cur        *window
 	pos        int
-	inflight   chan *window
-	pending    int // windows launched but not yet received (0 or 1)
+	inflight   chan *window // allocated on the first background launch
+	pending    int          // windows launched but not yet received (0 or 1)
 	spare      []*window
 	absBase    int64
 	lastRowDur time.Duration // per-row cost of the last window, for deadline fit
@@ -77,8 +92,8 @@ type batchState struct {
 	rowsIn  int64
 }
 
-func newBatchState(ec *expr.Ctx, input Operator, max int, eval func(w *window) error) *batchState {
-	return &batchState{ec: ec, input: input, eval: retryLost(eval), max: max, inflight: make(chan *window, 1)}
+func newBatchState(ec *expr.Ctx, input Operator, eval func(w *window) error) *batchState {
+	return &batchState{ec: ec, input: input, eval: retryLost(eval), max: ec.UDFBatch}
 }
 
 // cLostRetries counts batch windows resubmitted after their shared
@@ -113,11 +128,16 @@ func (b *batchState) next() (*window, int, error) {
 				b.pos++
 				return b.cur, i, nil
 			}
+			err := b.cur.rowErr
 			b.recycle(b.cur)
 			b.cur = nil
+			if err != nil {
+				return nil, 0, err
+			}
 		}
+		var w *window
 		if b.pending == 0 {
-			w := b.gather()
+			w = b.gather()
 			if w == nil {
 				if err := b.stashed; err != nil {
 					b.stashed = nil
@@ -125,18 +145,38 @@ func (b *batchState) next() (*window, int, error) {
 				}
 				return nil, 0, nil
 			}
-			b.launch(w)
+			b.count(w)
+			if b.eof || b.stashed != nil {
+				// Nothing left to gather behind this window: evaluate it
+				// here rather than pay a goroutine for no overlap.
+				b.evaluate(w)
+			} else {
+				b.launch(w)
+				w = nil
+			}
 		}
-		// The pipeline overlap: gather window k+1 here while the
-		// background goroutine evaluates window k.
-		var queued *window
-		if b.stashed == nil && !b.eof {
-			queued = b.gather()
-		}
-		w := <-b.inflight
-		b.pending--
-		if w.panicked != nil {
-			panic(w.panicked)
+		if w == nil {
+			// The pipeline overlap: gather window k+1 here while the
+			// background goroutine evaluates window k.
+			var queued *window
+			if b.stashed == nil && !b.eof {
+				queued = b.gather()
+			}
+			w = <-b.inflight
+			b.pending--
+			if w.panicked != nil {
+				panic(w.panicked)
+			}
+			if queued != nil {
+				if w.err != nil || w.rowErr != nil {
+					// The statement ends inside window k, so window k+1
+					// is never evaluated: no UDF sees its rows.
+					b.recycle(queued)
+				} else {
+					b.count(queued)
+					b.launch(queued)
+				}
+			}
 		}
 		if n := len(w.rows); n > 0 {
 			b.lastRowDur = w.dur / time.Duration(n)
@@ -145,15 +185,10 @@ func (b *batchState) next() (*window, int, error) {
 			b.ec.Trace.AddSpan(obs.SpanRecord{Name: "batch/window", Start: w.start, Dur: w.dur})
 		}
 		if w.err != nil {
-			// The queued window dies with the query; Close drains
-			// nothing because it was never launched.
 			err := fmt.Errorf("batch rows %d..%d: %w",
 				w.base, w.base+int64(len(w.rows))-1, w.err)
 			b.recycle(w)
 			return nil, 0, err
-		}
-		if queued != nil {
-			b.launch(queued)
 		}
 		b.cur = w
 		b.pos = 0
@@ -228,19 +263,31 @@ func (b *batchState) targetSize() int {
 	return n
 }
 
-// launch starts background evaluation of a gathered window.
-func (b *batchState) launch(w *window) {
+// count records a window about to be evaluated, for EXPLAIN ANALYZE.
+func (b *batchState) count(w *window) {
 	b.batches++
 	b.rowsIn += int64(len(w.rows))
+}
+
+// evaluate evaluates a gathered window and times it.
+func (b *batchState) evaluate(w *window) {
+	w.start = time.Now()
+	defer func() { w.dur = time.Since(w.start) }()
+	w.err = b.eval(w)
+}
+
+// launch starts background evaluation of a gathered window.
+func (b *batchState) launch(w *window) {
+	if b.inflight == nil {
+		b.inflight = make(chan *window, 1)
+	}
 	b.pending++
 	go func() {
-		w.start = time.Now()
 		defer func() {
 			w.panicked = recover()
-			w.dur = time.Since(w.start)
 			b.inflight <- w
 		}()
-		w.err = b.eval(w)
+		b.evaluate(w)
 	}()
 }
 
@@ -258,6 +305,7 @@ func (b *batchState) drain() {
 func (b *batchState) recycle(w *window) {
 	w.rows = w.rows[:0]
 	w.err = nil
+	w.rowErr = nil
 	if len(b.spare) < 2 {
 		b.spare = append(b.spare, w)
 	}
@@ -293,8 +341,8 @@ func rowFootprint(r types.Row) int {
 }
 
 // sizeResults returns buf resized to n entries, reallocating only on
-// growth. Entries are zeroed: EvalBatch overwrites every one, but a
-// stale value must never survive an implementation that does not.
+// growth. Entries are zeroed: expr.Window leaves the entries after a
+// failing row untouched, and a stale value must never survive there.
 func sizeResults(buf []core.BatchResult, n int) []core.BatchResult {
 	if cap(buf) < n {
 		buf = make([]core.BatchResult, n)
@@ -307,94 +355,62 @@ func sizeResults(buf []core.BatchResult, n int) []core.BatchResult {
 }
 
 // batchFilterState builds the batch driver for a Filter whose predicate
-// is batchable under the context's batch cap, or returns nil for the
-// legacy scalar path.
+// holds a batchable UDF call, or returns nil for the scalar path.
 func batchFilterState(ec *expr.Ctx, input Operator, pred expr.Bound) *batchState {
-	if ec == nil || ec.UDFBatch <= 1 {
+	if ec == nil || ec.UDFBatch <= 1 || !expr.HasBatchable(pred) {
 		return nil
 	}
-	bb, ok := pred.(expr.BatchBound)
-	if !ok || !bb.Batchable() {
-		return nil
-	}
-	return newBatchState(ec, input, ec.UDFBatch, func(w *window) error {
+	var win expr.Window
+	return newBatchState(ec, input, func(w *window) error {
 		w.res = sizeResults(w.res, len(w.rows))
-		return bb.EvalBatch(ec, w.rows, w.res)
+		if err := win.Eval(ec, pred, w.rows, w.res); err != nil {
+			return err
+		}
+		for i := range w.res {
+			if err := w.res[i].Err; err != nil {
+				w.failAt(i, err)
+				break
+			}
+		}
+		return nil
 	})
 }
 
 // batchProjectState builds the batch driver for a Project with at least
-// one batchable expression, or returns nil for the legacy scalar path.
-// Batchable expressions evaluate with amortized crossings; the rest
-// evaluate per row inside the same window pass. Errors surface in
-// row-major order (earliest row wins; within a row, earliest
-// expression), matching what the scalar path would have reported.
+// one batchable UDF call among its expressions, or returns nil for the
+// scalar path. Expressions evaluate one after another over the window,
+// each only on the rows before the first failure so far, so the error
+// reported is the scalar path's: earliest row first, then the earliest
+// expression within it.
 func batchProjectState(ec *expr.Ctx, input Operator, exprs []expr.Bound) *batchState {
-	if ec == nil || ec.UDFBatch <= 1 {
+	if ec == nil || ec.UDFBatch <= 1 || !slices.ContainsFunc(exprs, expr.HasBatchable) {
 		return nil
 	}
-	any := false
-	for _, e := range exprs {
-		if bb, ok := e.(expr.BatchBound); ok && bb.Batchable() {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	var scratch []core.BatchResult
-	rowErr := []error(nil)
-	return newBatchState(ec, input, ec.UDFBatch, func(w *window) error {
-		n := len(w.rows)
-		if cap(w.out) < n {
-			w.out = make([]types.Row, n)
-		}
-		w.out = w.out[:n]
-		for i := range w.out {
-			// Fresh output rows per window: consumers own emitted rows,
-			// exactly as on the scalar path.
-			w.out[i] = make(types.Row, len(exprs))
-		}
-		if cap(rowErr) < n {
-			rowErr = make([]error, n)
-		}
-		rowErr = rowErr[:n]
-		for i := range rowErr {
-			rowErr[i] = nil
+	var (
+		win expr.Window
+		res []core.BatchResult
+	)
+	return newBatchState(ec, input, func(w *window) error {
+		n, k := len(w.rows), len(exprs)
+		// Fresh output rows per window, carved from one allocation:
+		// consumers own emitted rows, exactly as on the scalar path.
+		vals := make([]types.Value, n*k)
+		w.out = w.out[:0]
+		for i := 0; i < n; i++ {
+			w.out = append(w.out, vals[i*k:(i+1)*k:(i+1)*k])
 		}
 		for xi, e := range exprs {
-			if bb, ok := e.(expr.BatchBound); ok && bb.Batchable() {
-				scratch = sizeResults(scratch, n)
-				if err := bb.EvalBatch(ec, w.rows, scratch); err != nil {
-					return err
-				}
-				for i := 0; i < n; i++ {
-					if scratch[i].Err != nil {
-						if rowErr[i] == nil {
-							rowErr[i] = scratch[i].Err
-						}
-						continue
-					}
-					w.out[i][xi] = scratch[i].Value
-				}
-				continue
+			res = sizeResults(res, n)
+			if err := win.Eval(ec, e, w.rows[:n], res); err != nil {
+				return err
 			}
 			for i := 0; i < n; i++ {
-				if rowErr[i] != nil {
-					continue
+				if err := res[i].Err; err != nil {
+					w.failAt(i, err)
+					n = i
+					break
 				}
-				v, err := e.Eval(ec, w.rows[i])
-				if err != nil {
-					rowErr[i] = err
-					continue
-				}
-				w.out[i][xi] = v
-			}
-		}
-		for _, err := range rowErr {
-			if err != nil {
-				return err
+				w.out[i][xi] = res[i].Value
 			}
 		}
 		return nil

@@ -83,10 +83,10 @@ func (s *SeqScan) Explain() string { return fmt.Sprintf("SeqScan(%s)", s.Table) 
 func (s *SeqScan) Children() []Operator { return nil }
 
 // Filter passes through rows whose predicate evaluates to TRUE
-// (NULL and FALSE are both rejected, per SQL). When the predicate is a
-// batchable UDF call and the context enables batching, rows are pulled
-// in windows and the predicate evaluates with amortized UDF crossings
-// (see batch.go); otherwise the legacy per-tuple loop runs unchanged.
+// (NULL and FALSE are both rejected, per SQL). When the predicate holds
+// a batchable UDF call at any depth and the context enables batching,
+// rows are pulled in windows and the predicate evaluates with amortized
+// UDF crossings (see batch.go); otherwise the per-tuple loop runs.
 type Filter struct {
 	estNote
 	Input Operator
@@ -138,9 +138,6 @@ func (f *Filter) nextBatched() (types.Row, error) {
 		if err != nil || w == nil {
 			return nil, err
 		}
-		if w.res[i].Err != nil {
-			return nil, w.res[i].Err
-		}
 		if v := w.res[i].Value; !v.IsNull() && v.Bool {
 			f.rows++
 			return w.rows[i], nil
@@ -167,8 +164,8 @@ func (f *Filter) Explain() string {
 func (f *Filter) Children() []Operator { return []Operator{f.Input} }
 
 // Project computes a list of expressions per input row. When at least
-// one expression is a batchable UDF call and the context enables
-// batching, input rows are pulled in windows and those expressions
+// one expression holds a batchable UDF call and the context enables
+// batching, input rows are pulled in windows and the expressions
 // evaluate with amortized UDF crossings (see batch.go).
 type Project struct {
 	estNote

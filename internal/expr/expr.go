@@ -50,22 +50,6 @@ type Ctx struct {
 // (engine.Options.UDFBatchRows overrides it per engine).
 const DefaultBatchRows = 256
 
-// BatchBound is implemented by bound expressions that can evaluate a
-// window of rows with amortized UDF crossings. Operators probe for it
-// and, when Batchable reports true, switch from per-row Eval to
-// EvalBatch over gathered row windows.
-type BatchBound interface {
-	Bound
-	// Batchable reports whether batching actually helps here: the
-	// underlying UDF implements core.BatchUDF.
-	Batchable() bool
-	// EvalBatch evaluates the expression for every row of the window,
-	// writing exactly one BatchResult per row into out
-	// (len(out) == len(rows)). Per-row UDF failures land in out[i].Err;
-	// a non-nil return fails the whole window.
-	EvalBatch(ec *Ctx, rows []types.Row, out []core.BatchResult) error
-}
-
 // Check reports a FaultCanceled once KILL has been issued for the
 // statement, a FaultTimeout once the statement deadline has passed and
 // a FaultQuota once the tenant's CPU budget is exhausted. It is cheap

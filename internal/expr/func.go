@@ -152,11 +152,10 @@ type udfCall struct {
 
 	// Grow-only scratch reused across rows and windows (a Bound tree
 	// belongs to one operator and is evaluated by one goroutine at a
-	// time): per-row argument slice, batched row-major argument gather,
-	// submitted-row index map, and batch results.
+	// time): per-row argument slice, batched row-major argument gather
+	// and batch results.
 	scratch []types.Value
 	flat    []types.Value
-	outIdx  []int
 	res     []core.BatchResult
 }
 
@@ -295,70 +294,13 @@ func (u *udfCall) Eval(ec *Ctx, row types.Row) (types.Value, error) {
 	return out, err
 }
 
-// Batchable implements BatchBound. Only process-isolated designs
-// report true: for them a batch is genuinely one crossing, while an
-// integrated design gains nothing from batching and would only disturb
-// its per-invocation accounting (one histogram observation and one
-// trace event per actual call).
-func (u *udfCall) Batchable() bool {
+// batchable reports whether this call's crossings batch. Only
+// process-isolated designs qualify: for them a batch is genuinely one
+// crossing, while an integrated design gains nothing from batching and
+// would only disturb its per-invocation accounting (one histogram
+// observation and one trace event per actual call).
+func (u *udfCall) batchable() bool {
 	return u.batch != nil && !u.udf.Design().Integrated()
-}
-
-// EvalBatch implements BatchBound: argument vectors for the whole
-// window are gathered (NULL-strict rows resolve to NULL locally, just
-// like Eval, without crossing into the UDF), the remainder is submitted
-// as one InvokeBatch, and results are scattered back by row index.
-func (u *udfCall) EvalBatch(ec *Ctx, rows []types.Row, out []core.BatchResult) error {
-	arity := len(u.args)
-	u.flat = u.flat[:0]
-	u.outIdx = u.outIdx[:0]
-	for ri, row := range rows {
-		mark := len(u.flat)
-		strictNull := false
-		for _, a := range u.args {
-			v, err := a.Eval(ec, row)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				strictNull = true
-				break
-			}
-			u.flat = append(u.flat, v)
-		}
-		if strictNull {
-			u.flat = u.flat[:mark]
-			out[ri] = core.BatchResult{Value: types.Null()}
-			continue
-		}
-		u.outIdx = append(u.outIdx, ri)
-	}
-	n := len(u.outIdx)
-	if n == 0 {
-		return nil
-	}
-	if cap(u.res) < n {
-		u.res = make([]core.BatchResult, n)
-	}
-	res := u.res[:n]
-	var ctx *core.Ctx
-	if ec != nil {
-		ctx = ec.UDF
-	}
-	start := time.Now()
-	err := u.batch.InvokeBatch(ctx, arity, u.flat, res)
-	d := time.Since(start)
-	u.hist.Observe(d)
-	if ec != nil {
-		ec.Trace.Event(u.ev, d)
-	}
-	if err != nil {
-		return err
-	}
-	for i, ri := range u.outIdx {
-		out[ri] = res[i]
-	}
-	return nil
 }
 
 // castFloat widens an INT expression to FLOAT.

@@ -238,3 +238,24 @@ func TestInvokeBatchEmptyAndShapeChecks(t *testing.T) {
 		t.Error("ragged args accepted")
 	}
 }
+
+// TestCoerceToDeclaredKind: results take the UDF's declared kind
+// (a Jaguar bool crosses as INT 0/1); NULLs and matching kinds pass.
+func TestCoerceToDeclaredKind(t *testing.T) {
+	for _, tc := range []struct {
+		ret      types.Kind
+		in, want types.Value
+	}{
+		{types.KindBool, types.NewInt(1), types.NewBool(true)},
+		{types.KindBool, types.NewInt(0), types.NewBool(false)},
+		{types.KindBool, types.Null(), types.Null()},
+		{types.KindFloat, types.NewInt(3), types.NewFloat(3)},
+		{types.KindInt, types.NewInt(7), types.NewInt(7)},
+		{types.KindString, types.NewString("x"), types.NewString("x")},
+	} {
+		u := &udf{ret: tc.ret}
+		if got := u.coerce(tc.in); got.Kind != tc.want.Kind || got.String() != tc.want.String() {
+			t.Errorf("coerce(%v) to %s = %v, want %v", tc.in, tc.ret, got, tc.want)
+		}
+	}
+}

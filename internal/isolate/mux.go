@@ -657,10 +657,12 @@ func (s *MuxStream) decodeBatchResult(payload []byte, out []core.BatchResult, ct
 				out[i] = core.BatchResult{Value: v.Clone()}
 			}
 		case 1:
+			// The scalar reply's text: a row's error does not depend on
+			// whether it crossed alone or in a batch.
 			msg := r.str()
 			if r.err == nil {
 				out[i] = core.BatchResult{Err: core.Faultf(core.FaultUDF, "invoke",
-					"UDF failed at batch row %d: %s", i, msg)}
+					"UDF failed: %s", msg)}
 			}
 		default:
 			if r.err == nil {

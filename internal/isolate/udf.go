@@ -308,7 +308,30 @@ func breakerFault(err error) error {
 	return core.NewFault(core.FaultOverload, "invoke", err)
 }
 
+// Invoke implements core.UDF.
 func (u *udf) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+	out, err := u.invoke(ctx, args)
+	if err != nil {
+		return out, err
+	}
+	return u.coerce(out), nil
+}
+
+// coerce gives a result its declared kind. An executor answers with the
+// kind the UDF body computed, and the VM has no bool type: a Jaguar
+// bool crosses as INT 0/1, which the integrated VM design converts with
+// jvm.FromVM and the isolated designs convert here.
+func (u *udf) coerce(v types.Value) types.Value {
+	switch {
+	case v.Kind == types.KindInt && u.ret == types.KindBool:
+		return types.NewBool(v.Int != 0)
+	case v.Kind == types.KindInt && u.ret == types.KindFloat:
+		return types.NewFloat(float64(v.Int))
+	}
+	return v
+}
+
+func (u *udf) invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 	if err := core.CheckArgs(u, args); err != nil {
 		return types.Value{}, err
 	}
@@ -377,6 +400,18 @@ func (u *udf) dropExecutor(e *Executor) {
 // of one takes the scalar path, so batch size 1 stays byte-identical to
 // the legacy protocol (faults, timeouts and callbacks included).
 func (u *udf) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []core.BatchResult) error {
+	if err := u.invokeBatch(ctx, arity, args, out); err != nil {
+		return err
+	}
+	for i := range out {
+		if out[i].Err == nil {
+			out[i].Value = u.coerce(out[i].Value)
+		}
+	}
+	return nil
+}
+
+func (u *udf) invokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []core.BatchResult) error {
 	if err := core.CheckBatchShape(u, arity, args, out); err != nil {
 		return err
 	}

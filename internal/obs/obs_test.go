@@ -156,6 +156,28 @@ func TestRegistryLabelsCanonical(t *testing.T) {
 	}
 }
 
+// TestRenderLabelsEscapesOnce: a label value is escaped exactly once,
+// Prometheus-style, so quote, backslash and newline each gain a single
+// backslash, and the exposition still lints.
+func TestRenderLabelsEscapesOnce(t *testing.T) {
+	const v = "a\"b\\c\nd"
+	want := `esc_total{k="a\"b\\c\nd"}`
+	r := NewRegistry()
+	r.Counter("esc_total", "k", v).Inc()
+	if stats := r.Dump(); len(stats) != 1 || stats[0].Name != want {
+		t.Fatalf("dump = %+v, want series %s", stats, want)
+	}
+	r.Histogram("esc_seconds", "k", v).Observe(time.Millisecond)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), want+" 1\n") {
+		t.Errorf("exposition lacks %s:\n%s", want, sb.String())
+	}
+	lintExposition(t, sb.String())
+}
+
 func TestMetricsScrape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("predator_test_requests_total", "verb", "select").Add(7)

@@ -143,6 +143,7 @@ type DiskManager struct {
 
 	mode       Durability
 	wal        *wal
+	walStats   walCounters // read without mu (see WALStats)
 	walPath    string
 	archiveDir string
 	recovered  RecoveryInfo
@@ -248,7 +249,7 @@ func OpenDiskOptions(path string, opts DiskOptions) (*DiskManager, error) {
 		d.freeHead = PageID(binary.LittleEndian.Uint32(payload[12:]))
 	}
 	if d.mode != DurabilityNone {
-		d.wal, err = openWAL(d.walPath, base)
+		d.wal, err = openWAL(d.walPath, base, &d.walStats)
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -634,15 +635,10 @@ func (d *DiskManager) WALSize() int64 {
 	return d.wal.size
 }
 
-// WALStats returns cumulative log activity for this manager.
-func (d *DiskManager) WALStats() WALStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.wal == nil {
-		return WALStats{}
-	}
-	return d.wal.stats
-}
+// WALStats returns cumulative log activity for this manager (all zero
+// under DurabilityNone). It takes no lock: Commit holds d.mu across the
+// WAL fsync, and a reader must not wait for that.
+func (d *DiskManager) WALStats() WALStats { return d.walStats.snapshot() }
 
 // IsDiskFull reports whether err is (or wraps) ENOSPC — the condition
 // that flips the engine into degraded read-only mode.

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"predator/internal/obs"
@@ -72,6 +73,23 @@ type WALStats struct {
 	FsyncNanos uint64
 }
 
+// walCounters holds WALStats as atomics, shared by every WAL generation
+// of one DiskManager (so they survive a rebuild). The log updates them
+// with d.mu held; WALStats loads them without it, so a statement that
+// reads the counters never waits behind another session's fsync.
+type walCounters struct {
+	appends, bytes, fsyncs, fsyncNanos atomic.Uint64
+}
+
+func (c *walCounters) snapshot() WALStats {
+	return WALStats{
+		Appends:    c.appends.Load(),
+		Bytes:      c.bytes.Load(),
+		Fsyncs:     c.fsyncs.Load(),
+		FsyncNanos: c.fsyncNanos.Load(),
+	}
+}
+
 // wal is the append side of the write-ahead log. It is owned by a
 // DiskManager and only ever called with d.mu held, so it needs no lock
 // of its own.
@@ -83,19 +101,19 @@ type wal struct {
 	synced int64 // offset known durable on stable storage
 	marked int64 // offset as of the last commit-mark append (or reset)
 	err    error // sticky: first append/flush/fsync failure poisons the log
-	stats  WALStats
+	stats  *walCounters
 }
 
 // openWAL creates (truncating) the log file at path. Any previous log
 // contents have already been consumed by recovery (and, when archiving
 // is on, preserved as a segment). base is the global LSN the new
 // generation starts at.
-func openWAL(path string, base int64) (*wal, error) {
+func openWAL(path string, base int64, stats *walCounters) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal %s: %w", path, err)
 	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 1<<16), base: base}, nil
+	return &wal{f: f, w: bufio.NewWriterSize(f, 1<<16), base: base, stats: stats}, nil
 }
 
 // encodeWALRecord frames one record into a fresh buffer.
@@ -135,8 +153,8 @@ func (l *wal) append(typ byte, page PageID, payload []byte) error {
 		return l.err
 	}
 	l.size += int64(len(rec))
-	l.stats.Appends++
-	l.stats.Bytes += uint64(len(rec))
+	l.stats.appends.Add(1)
+	l.stats.bytes.Add(uint64(len(rec)))
 	obsWALAppends.Inc()
 	obsWALBytes.Add(int64(len(rec)))
 	return nil
@@ -187,8 +205,8 @@ func (l *wal) sync() error {
 	elapsed := time.Since(start)
 	obsWALFsyncSeconds.Observe(elapsed)
 	obsWALFsyncs.Inc()
-	l.stats.Fsyncs++
-	l.stats.FsyncNanos += uint64(elapsed)
+	l.stats.fsyncs.Add(1)
+	l.stats.fsyncNanos.Add(uint64(elapsed))
 	l.synced = l.size
 	return nil
 }
